@@ -2,13 +2,16 @@
 // the paper's workloads, in both the batched engine and the scalar
 // reference loop, and emits machine-readable BENCH_*.json result files.
 //
-// Three workload families are measured:
+// Four workload families are measured:
 //
 //   - table1: the uninstrumented ground-truth runs behind Table 1's
 //     "Actual" column, one per application.
 //   - figure3: the same applications instrumented with the miss-interrupt
 //     sampler, Figure 3's perturbation configuration, so batching is
 //     measured with interrupts landing mid-stream.
+//   - search: the applications under Table 1's ten-way search, whose
+//     measurement timer stays armed for the whole run, so every batch is
+//     capped against a cycle event.
 //   - replay: recorded reference traces re-executed through a fresh cache,
 //     the pure reference-stream hot path.
 //
@@ -143,6 +146,7 @@ func main() {
 	}{
 		{"table1", func(app string, scalar bool) (uint64, error) { return runPlain(app, scalar, b) }},
 		{"figure3", func(app string, scalar bool) (uint64, error) { return runSampled(app, scalar, b) }},
+		{"search", func(app string, scalar bool) (uint64, error) { return runSearch(app, scalar, b) }},
 		{"replay", makeReplayRunner(apps, b)},
 	} {
 		file := File{Workload: w.name, Budget: b}
@@ -789,6 +793,20 @@ func runSampled(app string, scalar bool, budget uint64) (uint64, error) {
 		return 0, err
 	}
 	if err := sys.Attach(membottle.NewSampler(membottle.SamplerConfig{Interval: 2_000})); err != nil {
+		return 0, err
+	}
+	sys.Run(budget)
+	return sys.Machine.Cache.Stats.Accesses(), nil
+}
+
+// runSearch is Table 1's search configuration: the ten-way n-way search
+// with its measurement timer armed throughout the run.
+func runSearch(app string, scalar bool, budget uint64) (uint64, error) {
+	sys := newSystem(scalar, false)
+	if err := sys.LoadWorkloadByName(app); err != nil {
+		return 0, err
+	}
+	if err := sys.Attach(membottle.NewSearch(membottle.SearchConfig{N: 10})); err != nil {
 		return 0, err
 	}
 	sys.Run(budget)

@@ -96,9 +96,10 @@ func modulePath(gomod string) (string, error) {
 
 // Load resolves the patterns (directory paths, optionally ending in
 // /..., in the go tool's style) and returns the matched packages sorted
-// by import path. Directories named testdata are skipped by /...
-// expansion but may be named explicitly, which is how the fixture
-// packages are analyzed.
+// by import path. Directories named testdata, and nested modules (any
+// subdirectory with its own go.mod), are skipped by /... expansion as
+// the go tool skips them; fixture packages are analyzed by naming them
+// explicitly.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	var dirs []string
 	seen := map[string]bool{}
@@ -128,6 +129,11 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 				name := d.Name()
 				if path != absBase && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 					return filepath.SkipDir
+				}
+				if path != absBase {
+					if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+						return filepath.SkipDir
+					}
 				}
 				if hasGoFiles(path) {
 					add(path)

@@ -12,6 +12,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"membottle/internal/cache"
 	"membottle/internal/hotbuf"
@@ -515,6 +517,12 @@ func (m *Machine) AccessBatch(refs []Ref) {
 		o.Batches.Inc()
 		o.BatchRefs.Add(uint64(len(refs)))
 	}
+	// remCompute is the Compute payload of the refs not yet consumed,
+	// summed when a cycle event is first seen armed and spent as refs are
+	// consumed, so the event cap below costs O(1) per pass unless the
+	// event can fall inside the remaining batch. math.MaxUint64 stands
+	// for unknown: not summed yet, or too large to count.
+	remCompute := uint64(math.MaxUint64)
 	for len(refs) > 0 {
 		if m.stopErr != nil {
 			return
@@ -529,17 +537,24 @@ func (m *Machine) AccessBatch(refs []Ref) {
 		n := len(refs)
 		tickAfter := false
 		if ev, armed := m.PMU.NextCycleEvent(); armed {
-			n, tickAfter = capRefs(refs, m.Cycles, ev, m.Cost)
+			if remCompute == math.MaxUint64 {
+				remCompute = sumCompute(refs)
+			}
+			if !eventBeyond(len(refs), remCompute, m.Cycles, ev, m.Cost) {
+				n, tickAfter = capRefs(refs, m.Cycles, ev, m.Cost)
+			}
 			if n == 0 {
 				// The event fires during the next reference: take the
 				// scalar path so the tick lands mid-element, as it would
 				// in an unbatched run.
 				m.scalarRefs(refs[:1])
+				remCompute = spendCompute(remCompute, refs[0].Compute)
 				refs = refs[1:]
 				continue
 			}
 		}
 		done, compute, missed := m.Cache.AccessBatch(refs[:n])
+		remCompute = spendCompute(remCompute, compute)
 		if done > 0 {
 			insts := uint64(done) + compute
 			m.Insts += insts
@@ -558,6 +573,7 @@ func (m *Machine) AccessBatch(refs []Ref) {
 			// reference's trailing compute (charged after any interrupt,
 			// as in scalar execution).
 			r := &refs[done-1]
+			remCompute = spendCompute(remCompute, r.Compute)
 			m.Cycles += m.Cost.MissCycles
 			if m.OnMiss != nil {
 				m.OnMiss(r.Addr, r.Write, m.inHandler) //mb:ignore hp-call-opaque test/experiment hook, nil on measured runs
@@ -621,6 +637,53 @@ func capRefs(refs []Ref, cycles, ev uint64, cost CostModel) (int, bool) {
 		}
 	}
 	return len(refs), false
+}
+
+// sumCompute totals the batch's Compute payloads, saturating at
+// math.MaxUint64 so an overflowing sum keeps every bound it feeds
+// conservative.
+func sumCompute(refs []Ref) uint64 {
+	var sum, carry uint64
+	for i := range refs {
+		sum, carry = bits.Add64(sum, refs[i].Compute, 0)
+		if carry != 0 {
+			return math.MaxUint64
+		}
+	}
+	return sum
+}
+
+// spendCompute removes a consumed payload from a sumCompute total. An
+// unknown (saturated) total stays unknown.
+func spendCompute(rem, c uint64) uint64 {
+	if rem == math.MaxUint64 {
+		return rem
+	}
+	return rem - c
+}
+
+// eventBeyond reports whether the cycle event ev lies past the most
+// cycles n references carrying remCompute compute instructions could
+// use, all hitting. capRefs would then return (n, false) without
+// firing, so the caller may skip its scan. A due event or any overflow
+// in the bound reports false, which falls back to the exact scan.
+func eventBeyond(n int, remCompute, cycles, ev uint64, cost CostModel) bool {
+	if ev <= cycles {
+		return false
+	}
+	hi, access := bits.Mul64(uint64(n), cost.HitCycles)
+	if hi != 0 {
+		return false
+	}
+	hi, work := bits.Mul64(remCompute, cost.ComputeCPI)
+	if hi != 0 {
+		return false
+	}
+	most, carry := bits.Add64(access, work, 0)
+	if carry != 0 {
+		return false
+	}
+	return ev-cycles > most
 }
 
 // leaseBatch leases a staging buffer for one rangeRefs invocation. The

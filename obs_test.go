@@ -274,6 +274,49 @@ func TestObsOffKeepsBatchedSpeedup(t *testing.T) {
 	}
 }
 
+// TestSearchKeepsBatchedSpeedup holds the batched engine to the same
+// floor on an n-way search run. The search keeps its measurement timer
+// armed for the whole run, so every batch is capped against a cycle
+// event; the cap must stay cheap even in miss-heavy sweeps.
+func TestSearchKeepsBatchedSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test; skipped in -short")
+	}
+	if raceDetectorEnabled {
+		t.Skip("timing test; meaningless under the race detector")
+	}
+	const app, budget, reps = "tomcatv", uint64(20_000_000), 3
+
+	run := func(scalar bool) uint64 {
+		cfg := membottle.DefaultConfig()
+		cfg.SkipTruth = true
+		cfg.ScalarRefs = scalar
+		sys := membottle.NewSystem(cfg)
+		if err := sys.LoadWorkloadByName(app); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Attach(membottle.NewSearch(membottle.SearchConfig{N: 10})); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run(budget)
+		return sys.Machine.Cache.Stats.Accesses()
+	}
+
+	scalarNs, batchedNs, scalarRefs, batchedRefs := measureAlternating(t, reps,
+		func() uint64 { return run(true) },
+		func() uint64 { return run(false) },
+	)
+	if scalarRefs != batchedRefs {
+		t.Fatalf("engines diverged: scalar %d refs, batched %d", scalarRefs, batchedRefs)
+	}
+	speedup := float64(scalarNs) / float64(batchedNs)
+	t.Logf("search run: scalar %v (%.1f ns/ref), batched %v (%.1f ns/ref), speedup %.2fx",
+		scalarNs, float64(scalarNs)/float64(scalarRefs), batchedNs, float64(batchedNs)/float64(batchedRefs), speedup)
+	if speedup < 1.15 {
+		t.Errorf("batched search speedup %.2fx below the 1.15x floor — cycle-event cap regressed", speedup)
+	}
+}
+
 // TestObsProgressDoesNotPerturb runs with the progress hook ticking as
 // fast as the wall clock allows and checks the simulation still matches
 // an unhooked run exactly.
